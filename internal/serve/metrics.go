@@ -53,7 +53,7 @@ func newMetrics() *metrics {
 		"checkpoint", "model", "models", "model_upload", "model_delete", "healthz", "metrics"} {
 		m.endpoints[e] = &endpointMetrics{}
 	}
-	for _, s := range []string{"decode", "encode", "infer", "adapt", "export", "stream_encode", "fold", "rollback", "checkpoint"} {
+	for _, s := range []string{"decode", "upload", "encode", "infer", "adapt", "export", "stream_encode", "fold", "rollback", "checkpoint"} {
 		m.stages[s] = &stageMetrics{}
 	}
 	return m

@@ -414,27 +414,15 @@ func errCode(err error) string {
 	return codeInternal
 }
 
-// decodeWindows parses and bounds a JSON windows request. The body must be
-// exactly one JSON value: trailing non-whitespace bytes (a concatenated
-// second object, truncation garbage) fail the request instead of being
-// silently ignored.
+// decodeWindows reads, parses and bounds a windows request (see
+// decodeWindowsBody). The body must be exactly one JSON value: trailing
+// non-whitespace bytes (a concatenated second object, truncation garbage)
+// fail the request instead of being silently ignored.
 func (s *Server) decodeWindows(w http.ResponseWriter, r *http.Request, req *predictRequest) error {
 	defer s.met.stage("decode")()
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBody)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{http.StatusRequestEntityTooLarge, codeBodyTooLarge, fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBody)}
-		}
-		return &httpError{http.StatusBadRequest, codeInvalidJSON, "invalid JSON: " + err.Error()}
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{http.StatusRequestEntityTooLarge, codeBodyTooLarge, fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBody)}
-		}
-		return &httpError{http.StatusBadRequest, codeTrailingData, "trailing data after JSON body"}
+	if err := decodeWindowsBody(body, r.ContentLength, s.opt.MaxBody, req); err != nil {
+		return err
 	}
 	if len(req.Windows) == 0 {
 		return &httpError{http.StatusBadRequest, codeEmptyBatch, "no windows in request"}
@@ -765,7 +753,7 @@ type uploadModelResponse struct {
 func (s *Server) uploadModel(w *responseRecorder, r *http.Request) error {
 	name := r.PathValue("name")
 	b, err := func() (*pipeline.Bundle, error) {
-		defer s.met.stage("decode")()
+		defer s.met.stage("upload")()
 		body := http.MaxBytesReader(w, r.Body, s.opt.MaxBody)
 		b, err := pipeline.ReadBundle(body)
 		if err != nil {
